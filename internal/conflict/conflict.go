@@ -161,12 +161,6 @@ func makePairKey(a, b uint64) pairKey {
 type Analyzer struct {
 	repo *repo.Repo
 
-	// LegacyInvalidation, when set before first use, restores the
-	// wipe-on-head-move baseline: every head movement discards all cached
-	// analyses, pair verdicts, and the graph memo. It exists so benchmarks
-	// and ablations can measure what the incremental pipeline saves.
-	LegacyInvalidation bool
-
 	sem chan struct{} // bounds concurrently executing per-change analyses
 
 	mu        sync.Mutex
@@ -239,7 +233,7 @@ func (a *Analyzer) refreshHeadLocked() error {
 		return fmt.Errorf("conflict: analyzing head %s: %w", head.ID, err)
 	}
 	a.stats.GraphBuilds++
-	if a.headGraph == nil || a.LegacyInvalidation {
+	if a.headGraph == nil {
 		a.analyses = map[change.ID]*Analysis{}
 		a.pairs = map[pairKey]bool{}
 		a.memo = nil
@@ -403,8 +397,6 @@ func (a *Analyzer) pairVerdictLocked(ai, aj *Analysis) bool {
 		a.stats.UnionComparisons++
 		conf = buildgraph.UnionConflictDeltas(ai.Delta, aj.Delta, a.headGraph, ai.Graph, aj.Graph)
 	}
-	if !a.LegacyInvalidation {
-		a.pairs[key] = conf
-	}
+	a.pairs[key] = conf
 	return conf
 }

@@ -67,14 +67,9 @@ type Config struct {
 	// Events, when non-nil, receives lifecycle events for observability
 	// (submissions, build starts/finishes/aborts, commits, rejections).
 	Events *events.Bus
-	// LegacyPlanner disables the planner's incremental-epoch machinery
-	// (shared-prefix preparation trie and plan memoization), restoring the
-	// per-build full-merge path. For ablation and benchmarking.
-	LegacyPlanner bool
 	// Reliability tunes the flaky-failure handling layer (retries, flake
 	// detection, quarantine, verification re-runs; DESIGN.md §4g). The zero
-	// value enables the default policy; set Reliability.LegacyNoRetry to
-	// restore the fail-fast baseline.
+	// value enables the default policy.
 	Reliability reliability.Config
 	// FaultInjector, when non-nil, wraps Runner with deterministic fault
 	// injection (tests and chaos experiments); its inner runner is set to
@@ -86,10 +81,6 @@ type Config struct {
 	// commit arbiter owning head advancement. <= 0 keeps the classic
 	// single-planner engine.
 	Shards int
-	// SingleShard forces the classic single-planner engine even when Shards
-	// is set — the preserved legacy path, bit-for-bit identical to the
-	// service before the shard layer existed.
-	SingleShard bool
 	// Sched, when non-nil, enables the priority-lane scheduling layer
 	// (DESIGN.md §4l): per-class value weights, deadline aging, hotfix
 	// preemption, and per-class turnaround tracking. Nil keeps the
@@ -177,8 +168,6 @@ func NewService(r *repo.Repo, cfg Config) *Service {
 		Events:              cfg.Events,
 		TestSelectionRadius: cfg.TestSelectionRadius,
 		SkipThreshold:       cfg.SkipThreshold,
-		LegacyPreparation:   cfg.LegacyPlanner,
-		LegacyReplan:        cfg.LegacyPlanner,
 		Reliability:         rel,
 		Sched:               cfg.Sched,
 	}
@@ -195,7 +184,7 @@ func NewService(r *repo.Repo, cfg Config) *Service {
 	if cfg.Sched != nil {
 		s.tracker = sched.NewTracker()
 	}
-	if cfg.Shards >= 1 && !cfg.SingleShard {
+	if cfg.Shards >= 1 {
 		s.arb = arbiter.New(r, arbiter.Config{Analyzer: an, Events: cfg.Events})
 		s.runtime = shard.New(r, q, an, s.arb, ctrl, shard.Config{
 			Shards:  cfg.Shards,

@@ -64,7 +64,7 @@ type goldenTrace struct {
 	files    map[string]string
 }
 
-func goldenRun(t *testing.T, shards int, single bool) goldenTrace {
+func goldenRun(t *testing.T, shards int) goldenTrace {
 	t.Helper()
 	r := goldenRepo()
 	base := time.Unix(1700000000, 0)
@@ -80,7 +80,7 @@ func goldenRun(t *testing.T, shards int, single bool) goldenTrace {
 	// both drivers single-threaded, so the trace is bit-for-bit reproducible
 	// even under the race detector's scheduling perturbation.
 	s := NewService(r, Config{
-		Workers: 1, Shards: shards, SingleShard: single,
+		Workers: 1, Shards: shards,
 		Runner: runner, Now: func() time.Time { return base },
 	})
 	for _, c := range goldenWorkload() {
@@ -118,8 +118,8 @@ func goldenRun(t *testing.T, shards int, single bool) goldenTrace {
 // engine bit for bit — same outcome sequence (IDs, states, reasons, commit
 // IDs), same commit history, same head snapshot.
 func TestGoldenSingleShardMatchesLegacy(t *testing.T) {
-	legacy := goldenRun(t, 0, true)
-	sharded := goldenRun(t, 1, false)
+	legacy := goldenRun(t, 0)
+	sharded := goldenRun(t, 1)
 
 	if len(sharded.outcomes) != len(legacy.outcomes) {
 		t.Fatalf("outcome count: sharded %d, legacy %d", len(sharded.outcomes), len(legacy.outcomes))

@@ -257,11 +257,8 @@ func TestAblationBoosting(t *testing.T) {
 func TestAblationAnalyzerCache(t *testing.T) {
 	r := AblationAnalyzerCache(opts())
 	checkReport(t, r)
-	if r.Metrics["reduction_x"] < 5 {
-		t.Errorf("graph-build reduction = %vx, want >= 5x", r.Metrics["reduction_x"])
-	}
-	if r.Metrics["incremental_graph_builds_per_commit"] > r.Metrics["legacy_graph_builds_per_commit"] {
-		t.Errorf("incremental costs more than legacy: %v", r.Metrics)
+	if per := r.Metrics["graph_builds_per_commit"]; per <= 0 || per > 1.5 {
+		t.Errorf("graph builds per commit = %v, want in (0, 1.5]", per)
 	}
 	if r.Metrics["reused_analyses"] <= 0 {
 		t.Errorf("no analyses re-homed: %v", r.Metrics)

@@ -4,10 +4,12 @@ import "testing"
 
 // TestAblationReliability is the headline acceptance test for the
 // reliability layer (DESIGN.md §4g): with a 5% injected transient rate per
-// step, in-place retries plus verification re-runs must produce at least
-// 10x fewer false rejections than the LegacyNoRetry baseline on the same
-// seeded workload, master must stay green in every cell, and median
-// committed-change turnaround must stay within 1.5x of the fault-free run.
+// step, in-place retries plus verification re-runs must reject no innocent
+// change and commit exactly as many changes as the fault-free run of the same
+// seeded workload, at least one verification re-run must have fired (so the
+// zero is earned, not vacuous), master must stay green in every cell, and
+// median committed-change turnaround must stay within 1.5x of the fault-free
+// run.
 func TestAblationReliability(t *testing.T) {
 	if testing.Short() {
 		t.Skip("three full simulation cells; skipped in -short")
@@ -15,13 +17,15 @@ func TestAblationReliability(t *testing.T) {
 	r := AblationReliability(opts())
 	checkReport(t, r)
 
-	legacy := r.Metrics["false_rejections_legacy"]
-	retry := r.Metrics["false_rejections_retry"]
-	if legacy < 10 {
-		t.Errorf("legacy false rejections = %v, too few to make the 10x claim meaningful", legacy)
+	if fr := r.Metrics["false_rejections_retry"]; fr != 0 {
+		t.Errorf("false rejections with retry = %v, want 0", fr)
 	}
-	if legacy < 10*retry {
-		t.Errorf("false rejections: legacy %v vs retry %v, want >= 10x reduction", legacy, retry)
+	if r.Metrics["committed_retry"] != r.Metrics["committed_fault_free"] {
+		t.Errorf("retry cell committed %v, fault-free cell %v; want equal",
+			r.Metrics["committed_retry"], r.Metrics["committed_fault_free"])
+	}
+	if r.Metrics["flaky_verifications"] == 0 {
+		t.Error("no verification re-runs recorded; zero false rejections proves nothing")
 	}
 	if gv := r.Metrics["green_violations"]; gv != 0 {
 		t.Errorf("green violations = %v, master must stay green in every cell", gv)
@@ -31,10 +35,6 @@ func TestAblationReliability(t *testing.T) {
 	}
 	if r.Metrics["step_retries"] == 0 {
 		t.Error("no in-place step retries recorded; the retry path did not engage")
-	}
-	if r.Metrics["committed_retry"] < r.Metrics["committed_legacy"] {
-		t.Errorf("retry cell committed %v < legacy %v; retries should only save changes",
-			r.Metrics["committed_retry"], r.Metrics["committed_legacy"])
 	}
 }
 

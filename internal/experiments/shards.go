@@ -87,11 +87,10 @@ func AblationShards(o Options) *Report {
 		return nil
 	})
 
-	run := func(shards int, single bool) (secs float64, committed map[change.ID]bool, violations int) {
+	// shards == 0 runs the classic single-planner engine.
+	run := func(shards int) (secs float64, committed map[change.ID]bool, violations int) {
 		rp := shardRepo(subtrees, slots)
-		s := core.NewService(rp, core.Config{
-			Workers: 16, Shards: shards, SingleShard: single, Runner: runner,
-		})
+		s := core.NewService(rp, core.Config{Workers: 16, Shards: shards, Runner: runner})
 		for _, c := range shardChanges(n, subtrees) {
 			if err := s.Submit(c); err != nil {
 				panic(err)
@@ -137,7 +136,7 @@ func AblationShards(o Options) *Report {
 		return float64(committed) / (secs / 3600)
 	}
 
-	legacySecs, legacyCommitted, legacyViolations := run(0, true)
+	legacySecs, legacyCommitted, legacyViolations := run(0)
 	r.Metrics["committed_per_hour_legacy"] = cph(len(legacyCommitted), legacySecs)
 
 	identical := 1.0
@@ -146,7 +145,7 @@ func AblationShards(o Options) *Report {
 	var rows []string
 	rows = append(rows, fmt.Sprintf("  %-8s %8.1fs  %12.0f committed/h", "legacy", legacySecs, cph(len(legacyCommitted), legacySecs)))
 	for _, shards := range shardGrid {
-		secs, committed, v := run(shards, false)
+		secs, committed, v := run(shards)
 		violations += v
 		if len(committed) != len(legacyCommitted) {
 			identical = 0

@@ -14,13 +14,11 @@ type Stats struct {
 	PrefixHits          int // trie nodes reused while preparing a build
 	PrefixMisses        int // trie nodes computed (one patch apply + one analyze each)
 	PrefixInvalidations int // trie resets (head movement or size cap)
-	HeadGraphBuilds     int // head-graph analyses (once per head in trie mode)
+	HeadGraphBuilds     int // head-graph analyses (once per head)
 
-	// Raw preparation work, counted identically in both modes so the legacy
-	// baseline and the trie are directly comparable: SnapshotAnalyses is the
-	// number of buildgraph.Analyze calls issued while preparing builds,
-	// PatchApplies the number of single-patch snapshot applications
-	// (a repo.Merged over k patches costs k units).
+	// Raw preparation work: SnapshotAnalyses is the number of
+	// buildgraph.Analyze calls issued while preparing builds, PatchApplies
+	// the number of single-patch snapshot applications.
 	SnapshotAnalyses int
 	PatchApplies     int
 
@@ -57,7 +55,7 @@ type Stats struct {
 
 // PrepOps is the total preparation work startBuild performed: analyze calls
 // plus per-patch merge units. The headline benchmark divides it by
-// BuildsStarted to compare the trie against the legacy full-merge path.
+// BuildsStarted and gates the quotient.
 func (s Stats) PrepOps() int { return s.SnapshotAnalyses + s.PatchApplies }
 
 // Gauges renders the counters as ordered name/value pairs for the status

@@ -133,11 +133,10 @@ func TestShardedMatchesSinglePlanner(t *testing.T) {
 		committed, rejected map[change.ID]bool
 		files               map[string]string
 	}
-	run := func(shards int, single bool) result {
+	run := func(shards int) result {
 		r := multiRepo(6)
 		s := core.NewService(r, core.Config{
-			Workers: 8, Shards: shards, SingleShard: single,
-			Runner: brokenRunner(), Now: fakeClock(),
+			Workers: 8, Shards: shards, Runner: brokenRunner(), Now: fakeClock(),
 		})
 		for i := 0; i < 30; i++ {
 			content := fmt.Sprintf("content %d", i)
@@ -167,9 +166,9 @@ func TestShardedMatchesSinglePlanner(t *testing.T) {
 		}
 		return result{committed: committed, rejected: rejected, files: files}
 	}
-	base := run(0, true) // legacy single planner
+	base := run(0) // classic single planner
 	for _, shards := range []int{1, 4, 8} {
-		got := run(shards, false)
+		got := run(shards)
 		if len(got.committed) != len(base.committed) || len(got.rejected) != len(base.rejected) {
 			t.Fatalf("shards=%d: %d committed / %d rejected, want %d / %d",
 				shards, len(got.committed), len(got.rejected), len(base.committed), len(base.rejected))
